@@ -83,7 +83,8 @@ def missed_deadline(client: ServiceClient) -> None:
 def service_stats(client: ServiceClient) -> None:
     print("\n== /stats ==")
     payload = client.stats().payload
-    scheduler = payload["scheduler"]
+    # One schema for every worker count: this service has one shard.
+    scheduler = payload["shards"][0]["scheduler"]
     cache = scheduler["cache"]
     print(
         f"  requests={scheduler['requests_total']}  "

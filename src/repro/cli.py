@@ -143,21 +143,23 @@ endpoints:
                  Failure: {"status": "error", "error": {"code", "message"}}
                  with codes bad-json, bad-request, unknown-solver,
                  unknown-preset, unstable-model, queue-full (429 +
-                 Retry-After), load-shed (429, sharded tier), worker-crashed
-                 (503, retryable), deadline-exceeded (504), solve-failed.
-  GET /healthz   liveness + current queue depth (and, sharded, workers ready)
-  GET /stats     uptime, scheduler counters (coalesced/batched/rejected)
-                 and solution-cache statistics; with --workers N > 1 also
-                 per-shard breakdowns, pool totals and shedding counters
+                 Retry-After), load-shed (429), worker-crashed (503,
+                 retryable), deadline-exceeded (504), solve-failed.
+  GET /healthz   liveness, workers / workers_ready, and the in-flight
+                 request count (queue_depth) against max_queue
+  GET /stats     one schema for every --workers: uptime, HTTP counters,
+                 "shedding", "shards" (per shard: state, routing counters
+                 and its "scheduler" section with the solution-cache
+                 statistics), pool "totals" and the "slo" snapshot
   GET /metrics   Prometheus text exposition (version 0.0.4): per-shard
                  solve/queue-wait/cache-lookup latency histograms, the
                  scheduler, cache and front counters, solver numerical-health
                  series and the repro_slo_* gauges, all as repro_* series
   GET /traces    recently retained traces newest-first; ?slow=1 restricts to
                  the slow ring, ?limit=N bounds the count (default 32).
-                 Sharded fronts fan the listing out to every shard worker.
+                 With worker processes the listing fans out to every worker.
   GET /traces/<id>  one retained trace's span tree (admission, queue-wait,
-                 solve, ...); sharded fronts merge the owning worker's spans
+                 solve, ...); worker processes' retained spans are merged
                  into the front's re-based copy
 
 observability:
@@ -172,10 +174,21 @@ observability:
   (ts, level, event, trace_id, ...) for machine ingestion.
 
   --slo-queue-wait and --slo-solve-latency set rolling p99 targets; when
-  either rolling p99 breaches its target the admission controller sheds
+  either rolling p99 breaches its target the admission rule below sheds
   cheapest-to-recompute query kinds first (429 load-shed) even while the
   queue is still shallow, and repro_slo_error_budget_total counts every
   request that individually missed a target.
+
+admission (the same rule for every --workers):
+  the front routes each request's solution key on a consistent-hash ring
+  to one shard, then admits it only if (1) the shard is ready, else 503
+  worker-crashed; (2) the shard has fewer than --max-queue requests in
+  flight, else 429 queue-full; (3) the load, the worse of in-flight
+  requests / (workers x max-queue) and the SLO pressure, is below the
+  query kind's shed threshold (steady-state 0.7, scenario 0.85, transient
+  1.0), else 429 load-shed with shard and shed_tier.  Inside a shard the
+  scheduler still answers 429 queue-full beyond --max-queue distinct
+  pending computations.
 
 tuning:
   --batch-window trades first-request latency for batching: concurrent
@@ -183,14 +196,12 @@ tuning:
   solve_many() batch (identical requests are always coalesced to a single
   computation regardless of the window).  Raise it when clients burst many
   distinct configurations; lower it (or use 0) for latency-sensitive,
-  low-concurrency traffic.  --max-queue bounds distinct pending
-  computations; beyond it requests are rejected with 429 queue-full.
+  low-concurrency traffic.  --max-queue bounds each shard's in-flight
+  requests and sets the shedding capacity (see admission above).
 
-  --workers N > 1 starts the sharded tier: a front process consistent-hashes
-  each request's solution key onto one of N worker processes (per-shard
-  caches and coalescing stay exact), sheds cheapest-to-recompute query kinds
-  first as load approaches N x max-queue (429 load-shed with shard and
-  shed_tier), and restarts crashed workers under the same shard id.
+  --workers is the shard count: 1 serves from one shard inside the front
+  process, N > 1 from N worker processes (per-shard caches and coalescing
+  stay exact; a crashed worker is restarted under the same shard id).
   --cache-dir persists each shard's cache across restarts (atomic JSON
   snapshots, spilled every --spill-interval seconds and on SIGTERM).
 """
@@ -460,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "serving tier: 1 = single process, N > 1 = consistent-hash sharded front "
-            "over N worker processes (default: %(default)s)"
+            "shard count: 1 = one shard inside the front process, N > 1 = N "
+            "worker-process shards behind the same front (default: %(default)s)"
         ),
     )
     serve.add_argument(
@@ -474,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue",
         type=int,
         default=256,
-        help="bound on distinct pending computations before 429 rejections (default: %(default)s)",
+        help="per-shard bound on in-flight requests before 429 rejections (default: %(default)s)",
     )
     serve.add_argument(
         "--max-batch",
@@ -1132,7 +1143,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             slo_solve_latency_seconds=arguments.slo_solve_latency,
         )
         return run_service(config)
-    except ValueError as error:
+    except (ValueError, OSError) as error:  # bad tunables; a port that cannot be bound
         raise ReproError(str(error)) from error
 
 
@@ -1193,9 +1204,8 @@ def _service_address(url: str) -> tuple[str, int]:
 
 
 def _print_sharded_cache_stats(url: str, payload: dict) -> None:
-    """Render a sharded /stats payload: pool totals plus per-shard hit rates."""
+    """Render a /stats payload: service totals, per-shard hit rates, the cache."""
     totals = payload.get("totals", {})
-    shedding = payload.get("shedding", {})
     print(
         format_key_values(
             [
@@ -1203,25 +1213,23 @@ def _print_sharded_cache_stats(url: str, payload: dict) -> None:
                 ("workers", payload.get("workers")),
                 ("responses total", payload.get("responses_total")),
                 ("errors total", payload.get("errors_total")),
-                ("shed total", shedding.get("shed_total")),
+                ("shed total", payload.get("shedding", {}).get("shed_total")),
                 ("requests total", totals.get("requests_total")),
                 ("coalesced total", totals.get("coalesced_total")),
                 ("batches total", totals.get("batches_total")),
-                ("cache hits total", totals.get("cache_hits_total")),
-                ("cache solves total", totals.get("solves")),
-                ("cache entries total", totals.get("cache_size")),
-                ("cache spills total", totals.get("cache_spills")),
-                ("cache entries spilled", totals.get("cache_spilled_entries")),
-                ("cache loads total", totals.get("cache_loads")),
-                ("cache entries loaded", totals.get("cache_loaded_entries")),
+                ("rejected total", totals.get("rejected_total")),
             ],
             title=f"Service {url}",
         )
     )
     rows = []
+    pooled: dict[str, float] = {}
     for entry in payload.get("shards", []):
         scheduler = entry.get("scheduler") or {}
         cache = scheduler.get("cache", {})
+        for key, value in cache.items():
+            if isinstance(value, int):
+                pooled[key] = pooled.get(key, 0) + value
         hits = int(cache.get("hits", 0))
         misses = int(cache.get("misses", 0))
         lookups = hits + misses
@@ -1245,6 +1253,10 @@ def _print_sharded_cache_stats(url: str, payload: dict) -> None:
             title="Per-shard solution caches",
         )
     )
+    lookups = pooled.get("hits", 0) + pooled.get("misses", 0)
+    pooled["hit_rate"] = pooled.get("hits", 0) / lookups if lookups else 0.0
+    print()
+    print(format_key_values(_cache_lines(pooled), title="Solution cache (all shards)"))
 
 
 def _command_cache_stats(arguments: argparse.Namespace) -> int:
@@ -1265,28 +1277,7 @@ def _command_cache_stats(arguments: argparse.Namespace) -> int:
         if arguments.json:
             print(json.dumps(payload, indent=2))
             return 0
-        if "shards" in payload:
-            _print_sharded_cache_stats(arguments.url, payload)
-            return 0
-        scheduler = payload.get("scheduler", {})
-        cache = scheduler.get("cache", {})
-        print(
-            format_key_values(
-                [
-                    ("uptime seconds", payload.get("uptime_seconds")),
-                    ("responses total", payload.get("responses_total")),
-                    ("errors total", payload.get("errors_total")),
-                    ("queue depth", scheduler.get("queue_depth")),
-                    ("requests total", scheduler.get("requests_total")),
-                    ("coalesced total", scheduler.get("coalesced_total")),
-                    ("batches total", scheduler.get("batches_total")),
-                    ("rejected total", scheduler.get("rejected_total")),
-                ],
-                title=f"Service {arguments.url}",
-            )
-        )
-        print()
-        print(format_key_values(_cache_lines(cache), title="Solution cache"))
+        _print_sharded_cache_stats(arguments.url, payload)
         return 0
     stats = shared_cache().stats()
     if arguments.json:
@@ -1297,8 +1288,8 @@ def _command_cache_stats(arguments: argparse.Namespace) -> int:
 
 
 #: Canonical ordering of the solution-cache counters, persistence included —
-#: ``spills``/``loads`` must render even when zero, so a PR-9 snapshot setup
-#: is visible at a glance against a single-process server too.
+#: ``spills``/``loads`` must render even when zero, so a snapshot setup is
+#: visible at a glance.
 _CACHE_STAT_KEYS = (
     "hits",
     "misses",

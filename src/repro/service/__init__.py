@@ -14,16 +14,20 @@ The moving parts, each in its own module:
     :class:`BatchScheduler` — coalescing, batch windows, bounded queue,
     per-request deadlines.
 :mod:`~repro.service.server`
-    :class:`SolverService` (the raw-asyncio HTTP front end with ``/solve``,
-    ``/healthz`` and ``/stats``), :class:`ServiceConfig`, :func:`run_service`,
-    :func:`build_service` and the thread-hosted :class:`ThreadedService`.
-:mod:`~repro.service.sharding`
-    :class:`ShardedService` — the multi-process tier: consistent-hash
-    routing of solution keys onto a pool of shard worker processes, tiered
-    load shedding, crash recovery, aggregated ``/stats``.
+    :class:`SolverService`, the one raw-asyncio HTTP front end (``/solve``,
+    ``/healthz``, ``/stats``, ``/metrics``, ``/traces``): consistent-hash
+    routing onto its shards, admission (tiered load shedding included) and
+    aggregated telemetry; plus :class:`ServiceConfig`, :func:`run_service`
+    and the thread-hosted :class:`ThreadedService`.
 :mod:`~repro.service.worker`
-    The shard worker entry point (one scheduler + persistent cache per
-    process).
+    :class:`Shard`, the front's view of one key-space slice, and
+    :class:`LocalShard` — one scheduler + persistent cache on the caller's
+    loop, which ``workers == 1`` serves from in-process — plus the shard
+    worker process entry point built on it.
+:mod:`~repro.service.sharding`
+    :class:`ConsistentHashRing` and :class:`ProcessShard`, a
+    :class:`LocalShard` in a spawned worker process behind a pipe, with
+    crash recovery.
 :mod:`~repro.service.client`
     :class:`ServiceClient` (sync) and :class:`AsyncServiceClient`.
 :mod:`~repro.service.errors`
@@ -67,22 +71,18 @@ from .protocol import (
     parse_body,
     parse_solve_request,
 )
-from .scheduler import (
+from .scheduler import BatchScheduler, ScheduledResult
+from .server import (
     DEFAULT_SHED_THRESHOLDS,
     SHED_TIER_ORDER,
-    BatchScheduler,
-    ScheduledResult,
-    shed_decision,
-)
-from .server import (
     ServiceConfig,
     SolverService,
     ThreadedService,
-    build_service,
     run_service,
+    shed_decision,
 )
-from .sharding import ConsistentHashRing, ShardedService, stable_key_digest
-from .worker import ShardWorkerConfig, shard_cache_path, worker_main
+from .sharding import ConsistentHashRing, ProcessShard, stable_key_digest
+from .worker import LocalShard, Shard, ShardWorkerConfig, shard_cache_path, worker_main
 
 __all__ = [
     "AsyncServiceClient",
@@ -94,9 +94,11 @@ __all__ = [
     "DEFAULT_SOLVER_ORDERS",
     "DeadlineExceededError",
     "LoadShedError",
+    "LocalShard",
     "MethodNotAllowedError",
     "NotFoundError",
     "PayloadTooLargeError",
+    "ProcessShard",
     "QUERY_KINDS",
     "QueueFullError",
     "SHED_TIER_ORDER",
@@ -107,8 +109,8 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceResponse",
+    "Shard",
     "ShardWorkerConfig",
-    "ShardedService",
     "SolveFailedError",
     "SolveRequest",
     "SolverService",
@@ -117,7 +119,6 @@ __all__ = [
     "UnknownSolverError",
     "UnstableModelError",
     "WorkerCrashedError",
-    "build_service",
     "parse_body",
     "parse_solve_request",
     "run_service",

@@ -91,9 +91,11 @@ class PayloadTooLargeError(ServiceError):
 class QueueFullError(ServiceError):
     """Admission control rejected the request: the work queue is at capacity.
 
-    Clients should back off for ``retry_after`` seconds (also sent as the
-    ``Retry-After`` header) and retry; coalescable duplicates of in-flight
-    work are never rejected, so a retry of a popular query is cheap.
+    The front raises it when the target shard already has ``max_queue``
+    requests in flight, a shard's scheduler when it holds ``max_queue``
+    distinct pending computations.  Clients should back off for
+    ``retry_after`` seconds (also sent as the ``Retry-After`` header) and
+    retry.
     """
 
     code = "queue-full"
@@ -103,7 +105,7 @@ class QueueFullError(ServiceError):
 class LoadShedError(ServiceError):
     """Tiered admission control shed the request before it reached a shard.
 
-    Under sustained overload the front process sheds the cheapest-to-recompute
+    Under sustained overload the front sheds the cheapest-to-recompute
     query kinds first (steady-state before scenario before transient), so
     expensive work that is costly to redo keeps its queue slot the longest.
     The payload carries the target ``shard`` and the ``shed_tier`` (the query

@@ -15,17 +15,17 @@ Batch windows
     The first distinct request arms a timer; every further distinct request
     arriving within ``batch_window`` seconds joins the same batch, which is
     dispatched as **one** :func:`repro.solvers.solve_many_async` call — so
-    the facade's key-level deduplication, the shared cache and (when
-    ``workers > 1``) the :class:`~concurrent.futures.ProcessPoolExecutor`
-    fan-out all do their usual work.  A longer window trades first-request
-    latency for bigger batches.
+    the facade's key-level deduplication and the shared cache do their usual
+    work.  A longer window trades first-request latency for bigger batches.
 
 Admission control
     The number of *distinct* pending computations is bounded by
     ``max_queue``; beyond it, new work is rejected with
     :class:`~.errors.QueueFullError` carrying a ``retry_after`` hint.
-    Coalescing joins are never rejected — they add no work.  Each request
-    may also carry a ``deadline`` (seconds): when it expires before the
+    Coalescing joins are never rejected — they add no work.  Request-level
+    admission (per-shard in-flight bounds, tiered shedding) belongs to the
+    HTTP front, :meth:`repro.service.server.SolverService._admit`.  Each
+    request may also carry a ``deadline`` (seconds): when it expires before the
     result is ready the waiter gets :class:`~.errors.DeadlineExceededError`
     while the computation itself continues for the benefit of coalesced
     waiters and the cache.
@@ -43,15 +43,9 @@ from dataclasses import dataclass, field
 from ..obs import MetricsRegistry, TraceBuilder, new_span_id
 from ..obs.metrics import numerics_registry
 from ..obs.profiling import AttemptRecord
-from ..obs.slo import SloTracker
 from ..solvers import SolutionCache, SolveOutcome, SolverPolicy, solve_many_async
 from ..solvers.cache import CacheKey
-from .errors import (
-    DeadlineExceededError,
-    LoadShedError,
-    QueueFullError,
-    ServiceClosedError,
-)
+from .errors import DeadlineExceededError, QueueFullError, ServiceClosedError
 
 #: Default seconds the scheduler waits for further requests before flushing.
 DEFAULT_BATCH_WINDOW = 0.005
@@ -64,53 +58,6 @@ DEFAULT_MAX_BATCH = 64
 
 #: Default eviction bound of a scheduler-owned solution cache.
 DEFAULT_CACHE_MAXSIZE = 4096
-
-#: Query kinds cheapest-to-recompute first: the order tiers shed under load.
-SHED_TIER_ORDER = ("steady-state", "scenario", "transient")
-
-#: Default load fractions of capacity at which each query tier sheds,
-#: cheapest-to-recompute first (steady-state, scenario, transient).
-DEFAULT_SHED_THRESHOLDS = (0.7, 0.85, 1.0)
-
-
-def shed_decision(
-    query: str,
-    pending_total: int,
-    capacity: int,
-    thresholds: tuple[float, ...] = DEFAULT_SHED_THRESHOLDS,
-    *,
-    latency_pressure: float = 0.0,
-) -> str | None:
-    """The pure tiered-admission rule: the tier to shed, or ``None`` to admit.
-
-    ``thresholds[i]`` is the load fraction at which tier ``i`` of
-    :data:`SHED_TIER_ORDER` starts shedding; cheaper-to-recompute kinds have
-    lower thresholds, so under rising load steady-state queries are turned
-    away first while transient grids keep their queue slots until the pool is
-    genuinely full.  Unknown query kinds are treated as the most expensive
-    tier.
-
-    The load fraction is the *worse* of two signals: queue occupancy
-    (``pending_total / capacity``) and ``latency_pressure``, the SLO
-    tracker's ``rolling p99 / target`` ratio
-    (:meth:`repro.obs.slo.SloTracker.pressure`).  A slow backend therefore
-    trips the same tiered response as a full queue — shedding engages on
-    *measured latency*, even while depth sits below its thresholds.  Kept
-    free of any service state so the policy is unit testable against exact
-    load fractions.
-    """
-    if capacity < 1:
-        return query
-    try:
-        tier = SHED_TIER_ORDER.index(query)
-    except ValueError:
-        tier = len(SHED_TIER_ORDER) - 1
-    threshold = thresholds[min(tier, len(thresholds) - 1)]
-    load = max(pending_total / capacity, latency_pressure)
-    if load >= threshold:
-        return query
-    return None
-
 
 @dataclass(frozen=True)
 class ScheduledResult:
@@ -163,9 +110,6 @@ class BatchScheduler:
     max_batch:
         Largest batch handed to one ``solve_many`` call; a full buffer
         flushes immediately instead of waiting out the window.
-    workers:
-        ``1`` evaluates batches serially on the executor thread; ``> 1``
-        lets ``solve_many`` fan each batch out over a process pool.
     cache:
         The :class:`SolutionCache` answers repeat queries instantly and
         provides the coalescing key; defaults to a scheduler-owned bounded
@@ -177,17 +121,7 @@ class BatchScheduler:
         in the front process.
     shard:
         The shard index stamped onto every metric series as the ``shard``
-        label (``0`` for the single-process service).
-    slo:
-        An optional :class:`~repro.obs.slo.SloTracker`.  When set, the
-        scheduler feeds it every request's queue wait and end-to-end latency
-        and consults its pressure at admission: a rolling p99 beyond a shed
-        tier's threshold fraction of its target rejects that tier with
-        :class:`~.errors.LoadShedError` even while queue depth is below
-        ``max_queue``.
-    shed_thresholds:
-        The per-tier load fractions the latency-pressure consult uses
-        (mirrors the sharded front's depth thresholds).
+        label.
     """
 
     def __init__(
@@ -196,12 +130,9 @@ class BatchScheduler:
         batch_window: float = DEFAULT_BATCH_WINDOW,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_batch: int = DEFAULT_MAX_BATCH,
-        workers: int = 1,
         cache: SolutionCache | None = None,
         metrics: MetricsRegistry | None = None,
         shard: int = 0,
-        slo: SloTracker | None = None,
-        shed_thresholds: tuple[float, ...] = DEFAULT_SHED_THRESHOLDS,
     ) -> None:
         if batch_window < 0.0:
             raise ValueError(f"batch_window must be >= 0, got {batch_window}")
@@ -209,16 +140,11 @@ class BatchScheduler:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.batch_window = float(batch_window)
         self.max_queue = int(max_queue)
         self.max_batch = int(max_batch)
-        self.workers = int(workers)
         self.cache = cache if cache is not None else SolutionCache(maxsize=DEFAULT_CACHE_MAXSIZE)
         self.shard = int(shard)
-        self.shed_thresholds = tuple(shed_thresholds)
-        self._slo = slo
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         shard_labels = {"shard": str(self.shard)}
         self._solve_latency = self.metrics.histogram(
@@ -255,8 +181,6 @@ class BatchScheduler:
         self._largest_batch = 0
         self._rejected_total = 0
         self._deadline_exceeded_total = 0
-        self._shed_total = 0
-        self._shed_by_tier: dict[str, int] = {}
 
     # -- admission ---------------------------------------------------------
 
@@ -267,7 +191,6 @@ class BatchScheduler:
         *,
         deadline: float | None = None,
         trace: TraceBuilder | None = None,
-        query: str | None = None,
     ) -> ScheduledResult:
         """Answer one query, coalescing/batching it with concurrent work."""
         if self._closed:
@@ -278,12 +201,9 @@ class BatchScheduler:
         # histogram's count equals ``requests_total`` exactly: cache hits,
         # rejections, deadline expiries and successes all observe once.
         try:
-            return await self._submit_admitted(model, policy, deadline, trace, query)
+            return await self._submit_admitted(model, policy, deadline, trace)
         finally:
-            elapsed = time.perf_counter() - started
-            self._solve_latency.observe(elapsed)
-            if self._slo is not None:
-                self._slo.observe_solve_latency(elapsed)
+            self._solve_latency.observe(time.perf_counter() - started)
 
     async def _submit_admitted(
         self,
@@ -291,7 +211,6 @@ class BatchScheduler:
         policy: SolverPolicy,
         deadline: float | None,
         trace: TraceBuilder | None,
-        query: str | None,
     ) -> ScheduledResult:
         key = self.cache.key(model, policy)
         # probe(), not lookup(): a miss here is re-counted by solve_many when
@@ -311,30 +230,6 @@ class BatchScheduler:
         if coalesced:
             self._coalesced_total += 1
         else:
-            if query is not None and self._slo is not None and self._slo.enabled:
-                # Latency-aware overload control: pending_total is passed as 0
-                # so depth admission stays the QueueFullError below — only the
-                # SLO tracker's measured-latency pressure can shed here, which
-                # is exactly what lets a slow backend trip tiered rejection
-                # while the queue sits far below max_queue.
-                tier = shed_decision(
-                    query,
-                    0,
-                    max(1, self.max_queue),
-                    self.shed_thresholds,
-                    latency_pressure=self._slo.pressure(),
-                )
-                if tier is not None:
-                    self._rejected_total += 1
-                    self._shed_total += 1
-                    self._shed_by_tier[tier] = self._shed_by_tier.get(tier, 0) + 1
-                    raise LoadShedError(
-                        f"shedding {tier!r} queries: rolling latency is over its "
-                        "SLO target; retry shortly",
-                        shard=self.shard,
-                        tier=tier,
-                        retry_after=self._retry_after(),
-                    )
             if len(self._inflight) >= self.max_queue:
                 self._rejected_total += 1
                 raise QueueFullError(
@@ -457,8 +352,6 @@ class BatchScheduler:
                 pending.dispatched_at if pending.dispatched_at is not None else pending.created_at
             )
             self._queue_wait.observe(executed_at - waited_since)
-            if self._slo is not None:
-                self._slo.observe_queue_wait(executed_at - waited_since)
         # solve_many fills ``profile`` with each batch member's fallback-chain
         # attempts (serial path only); they become per-backend trace spans.
         profile: dict[int, list[AttemptRecord]] = {}
@@ -466,8 +359,6 @@ class BatchScheduler:
             outcomes = await solve_many_async(
                 [pending.model for pending in batch],
                 [pending.policy for pending in batch],
-                parallel=self.workers > 1 and len(batch) > 1,
-                max_workers=self.workers,
                 cache=self.cache,
                 profile=profile,
             )
@@ -540,7 +431,6 @@ class BatchScheduler:
             "max_queue": self.max_queue,
             "batch_window": self.batch_window,
             "max_batch": self.max_batch,
-            "workers": self.workers,
             "requests_total": self._requests_total,
             "cache_hits_total": self._cache_hits_total,
             "coalesced_total": self._coalesced_total,
@@ -549,7 +439,5 @@ class BatchScheduler:
             "largest_batch": self._largest_batch,
             "rejected_total": self._rejected_total,
             "deadline_exceeded_total": self._deadline_exceeded_total,
-            "shed_total": self._shed_total,
-            "shed_by_tier": dict(self._shed_by_tier),
             "cache": self.cache.stats(),
         }

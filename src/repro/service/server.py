@@ -8,29 +8,37 @@ these endpoints:
     The work endpoint: one JSON query in, one JSON answer out (see
     :mod:`.protocol` for the schema).
 ``GET /healthz``
-    Liveness: ``{"status": "ok", "uptime_seconds": ..., "version": ...}``
-    plus the current queue depth, so load balancers can shed before the
-    admission controller has to.
+    Liveness: status, version, uptime, ``workers``/``workers_ready`` and the
+    in-flight request count against its capacity, so load balancers can shed
+    before the admission controller has to.
 ``GET /stats``
-    The full observability payload: uptime, scheduler counters (queue depth,
-    coalesced/batched/rejected totals) and the solution-cache statistics.
+    The full observability payload: uptime, HTTP counters, shedding, one
+    entry per shard (state, routing counters and its scheduler section with
+    the solution-cache statistics), pool totals and the SLO snapshot.
 ``GET /metrics``
     The same telemetry in Prometheus text exposition format (0.0.4):
-    per-shard latency histograms recorded by the scheduler plus counter and
+    per-shard latency histograms recorded by the schedulers plus counter and
     gauge series derived from the stats counters — what a scraper ingests
     without knowing the JSON schema.
 ``GET /traces/<id>`` and ``GET /traces``
     The trace query API, served from the :class:`~repro.obs.TraceRecorder`
     rings: one retained trace's span tree by id, or the newest retained
     traces (``?slow=1`` filters to the slow ring, ``?limit=N`` bounds the
-    listing).  The sharded front additionally fans lookups out to its shard
-    workers and merges their spans.
+    listing).  Lookups also fan out to worker-process shards and merge
+    their spans.
+
+:class:`SolverService` is the only front, whatever ``workers`` is: it routes
+each request's solution key on a consistent-hash ring onto one
+:class:`~repro.service.worker.Shard` — one in-process
+:class:`~repro.service.worker.LocalShard` for ``workers == 1``, one
+:class:`~repro.service.sharding.ProcessShard` per worker process otherwise —
+and every admission decision is made here, in :meth:`SolverService._admit`.
 
 Every request is assigned a trace id, echoed as ``trace_id`` in JSON
 payloads and as an ``X-Trace-Id`` response header; ``/solve`` requests
-additionally build a full span trace through the scheduler, kept in a
-bounded in-memory ring (:class:`~repro.obs.TraceRecorder`) with slow
-requests emitted to the structured log.
+additionally build a full span trace through the shard, kept in a bounded
+in-memory ring (:class:`~repro.obs.TraceRecorder`) with slow requests
+emitted to the structured log.
 
 Connections are persistent (HTTP/1.1 keep-alive) and each *connection* is
 served by its own task, so one slow solve never blocks the accept loop or
@@ -53,10 +61,8 @@ import time
 import urllib.parse
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import package_version
-from ..exceptions import CachePersistenceError
 from ..obs import (
     MetricsRegistry,
     TraceBuilder,
@@ -72,24 +78,27 @@ from ..obs.slo import (
     SloTracker,
 )
 from ..solvers import SolutionCache
+from ..solvers.cache import solution_cache_key
 from . import protocol
 from .errors import (
     BadRequestError,
+    LoadShedError,
     MethodNotAllowedError,
     NotFoundError,
     PayloadTooLargeError,
+    QueueFullError,
     ServiceError,
     SolveFailedError,
+    WorkerCrashedError,
 )
 from .scheduler import (
     DEFAULT_BATCH_WINDOW,
     DEFAULT_CACHE_MAXSIZE,
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_QUEUE,
-    DEFAULT_SHED_THRESHOLDS,
-    BatchScheduler,
 )
-from .worker import DEFAULT_SPILL_INTERVAL, shard_cache_path
+from .sharding import RESTART_RETRY_AFTER, ConsistentHashRing, ProcessShard
+from .worker import DEFAULT_SPILL_INTERVAL, LocalShard, Shard, ShardWorkerConfig
 
 #: Largest declared over-bound body the server drains before answering 413.
 _MAX_DRAIN_BYTES = 16_000_000
@@ -108,6 +117,52 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: Query kinds cheapest-to-recompute first: the order tiers shed under load.
+SHED_TIER_ORDER = ("steady-state", "scenario", "transient")
+
+#: Default load fractions of capacity at which each query tier sheds,
+#: cheapest-to-recompute first (steady-state, scenario, transient).
+DEFAULT_SHED_THRESHOLDS = (0.7, 0.85, 1.0)
+
+
+def shed_decision(
+    query: str,
+    pending_total: int,
+    capacity: int,
+    thresholds: tuple[float, ...] = DEFAULT_SHED_THRESHOLDS,
+    *,
+    latency_pressure: float = 0.0,
+) -> str | None:
+    """The pure tiered-admission rule: the tier to shed, or ``None`` to admit.
+
+    ``thresholds[i]`` is the load fraction at which tier ``i`` of
+    :data:`SHED_TIER_ORDER` starts shedding; cheaper-to-recompute kinds have
+    lower thresholds, so under rising load steady-state queries are turned
+    away first while transient grids keep their queue slots until the pool is
+    genuinely full.  Unknown query kinds are treated as the most expensive
+    tier.
+
+    The load fraction is the *worse* of two signals: queue occupancy
+    (``pending_total / capacity``) and ``latency_pressure``, the SLO
+    tracker's ``rolling p99 / target`` ratio
+    (:meth:`repro.obs.slo.SloTracker.pressure`).  A slow backend therefore
+    trips the same tiered response as a full queue — shedding engages on
+    *measured latency*, even while depth sits below its thresholds.  Kept
+    free of any service state so the policy is unit testable against exact
+    load fractions.
+    """
+    if capacity < 1:
+        return query
+    try:
+        tier = SHED_TIER_ORDER.index(query)
+    except ValueError:
+        tier = len(SHED_TIER_ORDER) - 1
+    threshold = thresholds[min(tier, len(thresholds) - 1)]
+    load = max(pending_total / capacity, latency_pressure)
+    if load >= threshold:
+        return query
+    return None
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -116,12 +171,13 @@ class ServiceConfig:
     ``port=0`` binds an ephemeral port (what the tests use); the bound port
     is available as :attr:`SolverService.port` after ``start()``.
 
-    ``workers`` selects the serving tier: ``1`` is the single-process
-    service, ``> 1`` makes :func:`build_service` construct the sharded
-    multi-process front (:class:`~repro.service.sharding.ShardedService`)
-    with one worker process per shard.  ``cache_dir`` enables cache
-    persistence — snapshots are loaded on startup, spilled every
-    ``spill_interval`` seconds and on graceful shutdown.
+    ``workers`` is the shard count: ``1`` serves from one in-process shard,
+    ``> 1`` from one worker process per shard.  ``max_queue`` bounds each
+    shard's in-flight requests (and its scheduler's distinct pending
+    computations); ``workers × max_queue`` is the capacity tiered shedding
+    measures load against.  ``cache_dir`` enables cache persistence —
+    snapshots are loaded on startup, spilled every ``spill_interval``
+    seconds and on graceful shutdown.
     """
 
     host: str = "127.0.0.1"
@@ -150,31 +206,59 @@ class ServiceConfig:
     #: Rolling-p99 end-to-end solve-latency SLO target in seconds.
     slo_solve_latency_seconds: float = DEFAULT_SOLVE_LATENCY_TARGET_SECONDS
 
+    def __post_init__(self) -> None:
+        # Checked here so a bad value fails at construction for every worker
+        # count, not inside a spawned worker.
+        for name in ("workers", "max_queue", "max_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_window < 0.0:
+            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
+
+    def shard_config(self, shard: int) -> ShardWorkerConfig:
+        """The settings of shard ``shard``."""
+        return ShardWorkerConfig(
+            shard=shard,
+            batch_window=self.batch_window,
+            max_queue=self.max_queue,
+            max_batch=self.max_batch,
+            cache_maxsize=self.cache_maxsize,
+            cache_dir=self.cache_dir,
+            spill_interval=self.spill_interval,
+            trace_ring=self.trace_ring,
+            slow_request_seconds=self.slow_request_seconds,
+            trace_exemplar_interval=self.trace_exemplar_interval,
+        )
+
 
 class SolverService:
-    """The long-running solver service: HTTP front end + batching scheduler."""
+    """The HTTP front: routing, admission, SLO feeding and telemetry over its shards.
+
+    ``cache`` (optional) backs the in-process shard of a one-worker service.
+    ``start()`` binds the listening socket, starts every shard (spawning
+    worker processes for ``workers > 1``) and only then accepts
+    connections; if any step fails, every shard it started is stopped
+    before the error propagates.  ``stop()`` closes the socket, then stops
+    the shards gracefully, which spills their caches when ``cache_dir`` is
+    set.
+    """
 
     def __init__(
         self, config: ServiceConfig | None = None, *, cache: SolutionCache | None = None
     ) -> None:
         self.config = config if config is not None else ServiceConfig()
-        if cache is None:
-            cache = SolutionCache(maxsize=self.config.cache_maxsize)
+        workers = self.config.workers
+        self.shards: list[Shard] = (
+            [LocalShard(self.config.shard_config(0), cache=cache)]
+            if workers == 1
+            else [ProcessShard(self.config.shard_config(index)) for index in range(workers)]
+        )
+        self._ring = ConsistentHashRing(workers)
         self.slo = SloTracker(
             SloTargets(
                 queue_wait_p99_seconds=self.config.slo_queue_wait_seconds,
                 solve_latency_p99_seconds=self.config.slo_solve_latency_seconds,
             )
-        )
-        self.scheduler = BatchScheduler(
-            batch_window=self.config.batch_window,
-            max_queue=self.config.max_queue,
-            max_batch=self.config.max_batch,
-            workers=self.config.workers,
-            cache=cache,
-            shard=0,
-            slo=self.slo,
-            shed_thresholds=self.config.shed_thresholds,
         )
         self._log = get_logger("repro.service")
         self.traces = TraceRecorder(
@@ -184,12 +268,13 @@ class SolverService:
             logger=self._log,
         )
         self._server: asyncio.Server | None = None
-        self._spill_task: asyncio.Task | None = None
         self._started_monotonic: float | None = None
         self._started_wallclock: float | None = None
         self._responses_total = 0
         self._errors_total = 0
         self._errors_by_code: dict[str, int] = {}
+        self._shed_total = 0
+        self._shed_by_tier: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -205,17 +290,28 @@ class SolverService:
         return self.config.host
 
     async def start(self) -> None:
-        """Bind the listening socket and start accepting connections."""
+        """Bind the socket, start every shard, then accept connections."""
         if self._server is not None:
             raise RuntimeError("the service is already started")
-        await self._load_cache_snapshot()
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+            self._handle_connection,
+            host=self.config.host,
+            port=self.config.port,
+            start_serving=False,
         )
+        try:
+            outcomes = await asyncio.gather(
+                *(shard.start() for shard in self.shards), return_exceptions=True
+            )
+            for outcome in outcomes:
+                if isinstance(outcome, BaseException):
+                    raise outcome
+            await self._server.start_serving()
+        except BaseException:
+            await self.stop()
+            raise
         self._started_monotonic = time.monotonic()
         self._started_wallclock = time.time()
-        if self._snapshot_path() is not None and self.config.spill_interval > 0:
-            self._spill_task = asyncio.get_running_loop().create_task(self._spill_periodically())
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -223,55 +319,12 @@ class SolverService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting connections and fail queued (unstarted) work."""
-        if self._spill_task is not None:
-            self._spill_task.cancel()
-            await asyncio.gather(self._spill_task, return_exceptions=True)
-            self._spill_task = None
+        """Stop accepting connections, then stop every shard."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.close()
-        await self._spill_cache_snapshot()
-
-    # -- cache persistence (single-process mode; shards handle their own) ---
-
-    def _snapshot_path(self) -> Path | None:
-        """Where this service's cache spills, or ``None`` when not persisted.
-
-        The sharded tier persists per worker process instead (each shard owns
-        ``shard-<i>.json``), so this path exists only in single-process mode;
-        the single process is "shard 0" of a one-shard deployment, keeping
-        snapshots interchangeable when a deployment later scales out.
-        """
-        if self.config.cache_dir is None or self.config.workers != 1:
-            return None
-        return shard_cache_path(self.config.cache_dir, 0)
-
-    async def _load_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None:
-            return
-        loop = asyncio.get_running_loop()
-        try:
-            await loop.run_in_executor(None, self.scheduler.cache.load, path)
-        except CachePersistenceError:
-            # A torn or incompatible snapshot means a cold start, not an
-            # outage; the next spill overwrites it.
-            pass
-
-    async def _spill_cache_snapshot(self) -> None:
-        path = self._snapshot_path()
-        if path is None:
-            return
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self.scheduler.cache.spill, path)
-
-    async def _spill_periodically(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.spill_interval)
-            await self._spill_cache_snapshot()
+        await asyncio.gather(*(shard.stop() for shard in self.shards))
 
     # -- HTTP plumbing -----------------------------------------------------
 
@@ -403,6 +456,7 @@ class SolverService:
             self._errors_total += 1
         return head + body
 
+
     # -- routing -----------------------------------------------------------
 
     async def _dispatch(
@@ -476,6 +530,8 @@ class SolverService:
         payload = {"status": "error", "trace_id": trace_id, "error": error.payload()}
         return error.http_status, payload, headers
 
+    # -- request path ------------------------------------------------------
+
     async def _solve(
         self, body: bytes, trace: TraceBuilder
     ) -> tuple[int, dict, dict[str, str]]:
@@ -483,18 +539,25 @@ class SolverService:
         try:
             if not body:
                 raise BadRequestError("POST /solve requires a JSON body")
-            with trace.timed("admission"):
-                request = protocol.parse_solve_request(protocol.parse_body(body))
-            result = await self.scheduler.submit(
-                request.model,
-                request.policy,
-                deadline=request.deadline,
-                trace=trace,
+            admission_started = time.perf_counter()
+            request = protocol.parse_solve_request(protocol.parse_body(body))
+            key = solution_cache_key(request.model, request.policy)  # type: ignore[arg-type]
+            shard = self.shards[self._ring.shard_for(key)]
+            self._admit(request.query, shard)
+            trace.add(
+                "admission",
+                admission_started,
+                time.perf_counter(),
+                shard=shard.shard,
                 query=request.query,
             )
-            outcome = result.outcome
-            if outcome.solver is None:
-                raise SolveFailedError(outcome.error or "no solver succeeded")
+            shard.routed_total += 1
+            answer = await shard.submit(
+                request.model, request.policy, deadline=request.deadline, trace=trace
+            )
+            self._observe_slo(time.perf_counter() - started, trace)
+            if answer["solver"] is None:
+                raise SolveFailedError(answer["error"] or "no solver succeeded")
         except ServiceError as error:
             # Failed requests leave a trace too — a shed or timed-out request
             # is exactly the one worth a where-did-the-time-go record.
@@ -505,74 +568,223 @@ class SolverService:
             "status": "ok",
             "trace_id": trace.trace_id,
             "query": request.query,
-            "solver": outcome.solver,
-            "stable": outcome.stable,
-            "metrics": dict(outcome.metrics),
-            "cached": result.cached,
-            "coalesced": result.coalesced,
+            "shard": shard.shard,
+            "solver": answer["solver"],
+            "stable": answer["stable"],
+            "metrics": answer["metrics"],
+            "cached": answer["cached"],
+            "coalesced": answer["coalesced"],
             "elapsed_ms": round((time.perf_counter() - started) * 1e3, 3),
         }
         return 200, payload, {"X-Trace-Id": trace.trace_id}
 
-    async def _trace_payload(self, trace_id: str) -> dict:
-        """``GET /traces/<id>``: the retained trace's full span tree."""
-        found = self.traces.find(trace_id)
-        if found is None:
-            raise NotFoundError(
-                f"no retained trace {trace_id!r}; it may have fallen off the ring "
-                f"(capacity {self.traces.capacity})"
+    def _admit(self, query: str, shard: Shard) -> None:
+        """Admission, the service's one policy, in order: the shard must be
+        ready, its in-flight requests below ``max_queue``, and the tiered
+        shedding rule must admit the query at the pool's load."""
+        if shard.state != "ready":
+            raise WorkerCrashedError(
+                f"shard {shard.shard} is {shard.state}, not ready; retry shortly",
+                shard=shard.shard,
+                retry_after=RESTART_RETRY_AFTER,
             )
-        return {"status": "ok", "trace": found.to_dict()}
+        in_flight = sum(each.in_flight for each in self.shards)
+        capacity = len(self.shards) * self.config.max_queue
+        retry_after = round(0.1 * (1.0 + in_flight / capacity), 3)
+        if shard.in_flight >= self.config.max_queue:
+            raise QueueFullError(
+                f"shard {shard.shard} has {shard.in_flight} requests in flight "
+                f"(max_queue {self.config.max_queue}); retry shortly",
+                retry_after=retry_after,
+            )
+        tier = shed_decision(
+            query,
+            in_flight,
+            capacity,
+            self.config.shed_thresholds,
+            latency_pressure=self.slo.pressure(),
+        )
+        if tier is not None:
+            self._shed_total += 1
+            self._shed_by_tier[tier] = self._shed_by_tier.get(tier, 0) + 1
+            raise LoadShedError(
+                f"overloaded: shedding {tier!r} requests "
+                f"({in_flight}/{capacity} in flight); retry shortly",
+                shard=shard.shard,
+                tier=tier,
+                retry_after=retry_after,
+            )
+
+    def _observe_slo(self, latency: float, trace: TraceBuilder) -> None:
+        """Feed the SLO tracker one answered request: its end-to-end latency
+        and the queue wait its shard recorded as a span."""
+        self.slo.observe_solve_latency(latency)
+        for span in trace.spans:
+            if span.name == "queue-wait":
+                self.slo.observe_queue_wait(span.duration_ms / 1e3)
+
+    # -- observability -----------------------------------------------------
+
+    def _uptime(self) -> float:
+        return round(time.monotonic() - (self._started_monotonic or time.monotonic()), 3)
+
+    async def _trace_payload(self, trace_id: str) -> dict:
+        """``GET /traces/<id>``: the front's copy merged with shard-held spans.
+
+        The front's retained copy is authoritative — it already carries every
+        span of the request, worker spans re-based onto the front clock.  The
+        fan-out to the shards merges any worker-retained spans the front copy
+        lacks (deduplicated by span id) and covers traces the front ring has
+        already evicted while a worker ring still holds them; a worker-only
+        trace keeps its worker-relative offsets (durations are exact).
+        """
+        found = self.traces.find(trace_id)
+        held = [
+            payload
+            for payload in await asyncio.gather(
+                *(shard.find_trace(trace_id) for shard in self.shards)
+            )
+            if payload is not None
+        ]
+        if found is not None:
+            spans = [span.to_dict() for span in found.spans]
+            seen: set[object] = {span.span_id for span in found.spans}
+            for worker_payload in held:
+                for span_payload in worker_payload.get("spans") or ():
+                    if isinstance(span_payload, dict) and span_payload.get("span_id") not in seen:
+                        seen.add(span_payload.get("span_id"))
+                        spans.append(span_payload)
+            return {"status": "ok", "trace": {**found.to_dict(), "spans": spans}}
+        if held:
+            return {"status": "ok", "trace": held[0]}
+        raise NotFoundError(
+            f"no retained trace {trace_id!r} on the front or any shard; it may "
+            f"have fallen off the rings (capacity {self.traces.capacity})"
+        )
 
     async def _traces_payload(self, *, slow: bool, limit: int) -> dict:
-        """``GET /traces``: retained traces newest-first (``?slow=1`` filters)."""
-        listed = self.traces.query(slow=slow, limit=limit)
-        return {
-            "status": "ok",
-            "count": len(listed),
-            "slow": slow,
-            "traces": [retained.to_dict() for retained in listed],
-        }
+        """``GET /traces``: retained traces newest-first (``?slow=1`` filters).
+
+        Front-retained traces win the per-id deduplication (they carry every
+        span, re-based); shard-only traces fill in behind them.  The combined
+        listing is sorted newest-first and bounded by ``limit``.
+        """
+        combined = [retained.to_dict() for retained in self.traces.query(slow=slow, limit=limit)]
+        seen = {entry["trace_id"] for entry in combined}
+        for listed in await asyncio.gather(
+            *(shard.list_traces(slow=slow, limit=limit) for shard in self.shards)
+        ):
+            for entry in listed:
+                if entry.get("trace_id") not in seen:
+                    seen.add(entry.get("trace_id"))
+                    combined.append(entry)
+
+        def _started_at(entry: dict) -> float:
+            value = entry.get("started_at")
+            return float(value) if isinstance(value, (int, float)) else 0.0
+
+        combined.sort(key=_started_at, reverse=True)
+        del combined[limit:]
+        return {"status": "ok", "count": len(combined), "slow": slow, "traces": combined}
 
     async def _healthz_payload(self) -> dict:
-        """The liveness payload (async so the sharded tier can poll workers)."""
+        """The liveness payload."""
         return {
             "status": "ok",
             "version": package_version(),
-            "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
-            "queue_depth": self.scheduler.queue_depth,
-            "max_queue": self.scheduler.max_queue,
+            "uptime_seconds": self._uptime(),
+            "workers": len(self.shards),
+            "workers_ready": sum(1 for shard in self.shards if shard.state == "ready"),
+            "queue_depth": sum(shard.in_flight for shard in self.shards),
+            "max_queue": len(self.shards) * self.config.max_queue,
         }
 
     async def _stats_payload(self) -> dict:
-        """The observability payload (async so the sharded tier can aggregate)."""
+        """The observability payload: one entry per shard plus pool totals."""
+        totals = dict.fromkeys((*_SCHEDULER_COUNTERS, *_TOTAL_CACHE_FIELDS.values()), 0)
+        shards: list[dict] = []
+        for shard, stats in zip(
+            self.shards, await asyncio.gather(*(shard.stats() for shard in self.shards))
+        ):
+            entry: dict = {
+                "shard": shard.shard,
+                "state": shard.state,
+                "restarts": shard.restarts,
+                "routed_total": shard.routed_total,
+                "pending": shard.in_flight,
+            }
+            if stats is not None:
+                # The registry dump rides along but belongs to /metrics.
+                stats.pop("metrics", None)
+                entry["scheduler"] = stats
+                for counter in _SCHEDULER_COUNTERS:
+                    totals[counter] += int(stats.get(counter, 0))
+                cache_stats = stats.get("cache", {})
+                for cache_key, total_key in _TOTAL_CACHE_FIELDS.items():
+                    totals[total_key] += int(cache_stats.get(cache_key, 0))
+            shards.append(entry)
         return {
             "status": "ok",
             "started_at": self._started_wallclock,
-            "uptime_seconds": round(time.monotonic() - (self._started_monotonic or 0.0), 3),
+            "uptime_seconds": self._uptime(),
+            "workers": len(self.shards),
             "responses_total": self._responses_total,
             "errors_total": self._errors_total,
             "errors_by_code": dict(self._errors_by_code),
-            "scheduler": self.scheduler.stats(),
+            "shedding": {
+                "shed_total": self._shed_total,
+                "by_tier": dict(self._shed_by_tier),
+                "tier_order": list(SHED_TIER_ORDER),
+                "thresholds": list(self.config.shed_thresholds),
+                "capacity": len(self.shards) * self.config.max_queue,
+            },
+            "shards": shards,
+            "totals": totals,
             "slo": self.slo.snapshot(),
         }
 
     async def _metrics_payload(self) -> str:
         """The ``GET /metrics`` body: a fresh snapshot registry, rendered.
 
-        Built per scrape rather than kept live: histogram series come from
-        the scheduler's registry (exact copies), counter/gauge series are
-        derived from the same stats integers ``/stats`` reports — one source
-        of truth, two encodings.
+        Built per scrape rather than kept live.  Each shard's scheduler
+        registry arrives inside its stats reply; bucket-wise summation makes
+        the aggregated histograms identical to one process having recorded
+        every observation.  Shard counters are derived from the same stats
+        integers ``/stats`` reports — one source of truth, two encodings —
+        plus the front's own series (routing, restarts, readiness, shedding,
+        HTTP, traces, SLO).
         """
         registry = MetricsRegistry()
-        registry.merge_dict(self.scheduler.metrics_snapshot())
-        merge_shard_stats_metrics(registry, 0, self.scheduler.stats())
-        self._front_metrics(registry)
-        return registry.render()
-
-    def _front_metrics(self, registry: MetricsRegistry) -> None:
-        """Front-process series every tier exposes: HTTP, uptime, traces."""
+        for shard, stats in zip(
+            self.shards, await asyncio.gather(*(shard.stats() for shard in self.shards))
+        ):
+            labels = {"shard": str(shard.shard)}
+            registry.counter(
+                "repro_worker_restarts_total",
+                "Times this shard's worker process was respawned.",
+                labels=labels,
+            ).inc(float(shard.restarts))
+            registry.counter(
+                "repro_routed_total", "Requests routed to this shard by the ring.", labels=labels
+            ).inc(float(shard.routed_total))
+            if stats is None:
+                continue
+            metrics_payload = stats.get("metrics")
+            if isinstance(metrics_payload, dict):
+                registry.merge_dict(metrics_payload)
+            merge_shard_stats_metrics(registry, shard.shard, stats)
+        registry.gauge(
+            "repro_workers_ready", "Shards currently in the ready state."
+        ).set(float(sum(1 for shard in self.shards if shard.state == "ready")))
+        registry.counter("repro_shed_total", "Requests shed by tiered admission.").inc(
+            float(self._shed_total)
+        )
+        for tier, count in self._shed_by_tier.items():
+            registry.counter(
+                "repro_shed_by_tier_total",
+                "Requests shed by tiered admission, by query tier.",
+                labels={"tier": tier},
+            ).inc(float(count))
         registry.counter("repro_http_responses_total", "HTTP responses written.").inc(
             float(self._responses_total)
         )
@@ -599,6 +811,7 @@ class SolverService:
             "Traces retained as periodic exemplars regardless of latency.",
         ).inc(float(self.traces.exemplar_total))
         self.slo.export_into(registry)
+        return registry.render()
 
 
 def _parse_traces_query(query_string: str) -> tuple[bool, int]:
@@ -616,8 +829,7 @@ def _parse_traces_query(query_string: str) -> tuple[bool, int]:
     return slow, limit
 
 
-#: ``/stats`` scheduler counters exported as Prometheus counter families —
-#: the mapping both serving tiers use, so metric names cannot drift by tier.
+#: ``/stats`` scheduler counters exported as Prometheus counter families.
 _SCHEDULER_COUNTERS: dict[str, tuple[str, str]] = {
     "requests_total": (
         "repro_requests_total",
@@ -641,7 +853,7 @@ _SCHEDULER_COUNTERS: dict[str, tuple[str, str]] = {
     ),
     "rejected_total": (
         "repro_rejected_total",
-        "Requests rejected by admission control.",
+        "Requests rejected by the scheduler's queue bound.",
     ),
     "deadline_exceeded_total": (
         "repro_deadline_exceeded_total",
@@ -668,6 +880,17 @@ _CACHE_COUNTERS: dict[str, tuple[str, str]] = {
 }
 
 
+#: Solution-cache statistics summed into the pool ``totals`` (cache key → total key).
+_TOTAL_CACHE_FIELDS = {
+    "solves": "solves",
+    "size": "cache_size",
+    "spills": "cache_spills",
+    "spilled_entries": "cache_spilled_entries",
+    "loads": "cache_loads",
+    "loaded_entries": "cache_loaded_entries",
+}
+
+
 def merge_shard_stats_metrics(
     registry: MetricsRegistry, shard: int, stats: Mapping[str, object]
 ) -> None:
@@ -683,20 +906,6 @@ def merge_shard_stats_metrics(
         value = stats.get(stats_key)
         if isinstance(value, (int, float)):
             registry.counter(name, help_text, labels=labels).inc(float(value))
-    shed = stats.get("shed_total")
-    if isinstance(shed, (int, float)):
-        registry.counter(
-            "repro_shed_total", "Requests shed by tiered admission control.", labels=labels
-        ).inc(float(shed))
-    shed_by_tier = stats.get("shed_by_tier")
-    if isinstance(shed_by_tier, Mapping):
-        for tier, count in sorted(shed_by_tier.items()):
-            if isinstance(count, (int, float)):
-                registry.counter(
-                    "repro_shed_by_tier_total",
-                    "Requests shed, by query tier.",
-                    labels={**labels, "tier": str(tier)},
-                ).inc(float(count))
     depth = stats.get("queue_depth")
     if isinstance(depth, (int, float)):
         registry.gauge(
@@ -717,23 +926,6 @@ def merge_shard_stats_metrics(
             ).set(float(size))
 
 
-def build_service(
-    config: ServiceConfig | None = None, *, cache: SolutionCache | None = None
-) -> SolverService:
-    """The service matching ``config``: sharded when ``workers > 1``.
-
-    The sharded tier is imported lazily so single-process deployments (and
-    the spawned shard workers themselves, which import this module) never pay
-    for — or recurse into — the multiprocessing front.
-    """
-    config = config if config is not None else ServiceConfig()
-    if config.workers > 1:
-        from .sharding import ShardedService
-
-        return ShardedService(config, cache=cache)
-    return SolverService(config, cache=cache)
-
-
 def run_service(config: ServiceConfig | None = None) -> int:
     """Run a service until interrupted (the ``repro serve`` entry point).
 
@@ -743,7 +935,7 @@ def run_service(config: ServiceConfig | None = None) -> int:
     """
 
     async def _main() -> None:
-        service = build_service(config)
+        service = SolverService(config)
         configure_logging(service.config.log_format)
         await service.start()
         stopped = asyncio.Event()
@@ -752,12 +944,10 @@ def run_service(config: ServiceConfig | None = None) -> int:
             loop.add_signal_handler(signal.SIGTERM, stopped.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover - non-unix
             pass
-        workers = service.config.workers
         get_logger("repro.service").info(
             "service-started",
             url=f"http://{service.host}:{service.port}",
-            mode="sharded" if workers > 1 else "single-process",
-            workers=workers,
+            workers=service.config.workers,
             endpoints=(
                 "POST /solve, GET /healthz, GET /stats, GET /metrics, "
                 "GET /traces, GET /traces/<id>"
@@ -833,7 +1023,7 @@ class ThreadedService:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        service = build_service(self._config, cache=self._cache)
+        service = SolverService(self._config, cache=self._cache)
         try:
             await service.start()
         except BaseException as exc:  # noqa: BLE001 - reported to the caller

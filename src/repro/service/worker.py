@@ -1,15 +1,22 @@
-"""The shard worker: one process owning one slice of the key space.
+"""Shards: the front's view of one key-space slice, and the in-process kind.
 
-Each worker spawned by :class:`~repro.service.sharding.ShardPool` runs
-:func:`worker_main`: a private asyncio loop hosting its own
-:class:`~repro.service.scheduler.BatchScheduler` and per-shard
-:class:`~repro.solvers.SolutionCache`.  Because the front process routes
-every solution key to exactly one shard, single-flight coalescing and LRU
-locality keep working *per shard* — 100 identical concurrent requests still
-cost one solve, no matter which front connection carried them.
+The HTTP front (:class:`~repro.service.server.SolverService`) routes every
+solution key to exactly one :class:`Shard`, so single-flight coalescing and
+LRU locality keep working *per shard* — 100 identical concurrent requests
+still cost one solve, no matter which front connection carried them.  There
+are two kinds:
 
-The front talks to workers over one :class:`multiprocessing.connection.Connection`
-per worker.  Messages front → worker::
+:class:`LocalShard`
+    A :class:`~repro.service.scheduler.BatchScheduler` and its
+    :class:`~repro.solvers.SolutionCache` (with the cache's snapshot
+    load/spill) running on the caller's event loop.  ``--workers 1`` serves
+    from one of these inside the front process.
+:class:`~repro.service.sharding.ProcessShard`
+    The same :class:`LocalShard` in a spawned worker process running
+    :func:`worker_main`, reached over a pipe.
+
+The front talks to a worker over one :class:`multiprocessing.connection.Connection`.
+Messages front → worker::
 
     ("solve", request_id, model, policy, deadline, trace_id)
     ("stats", request_id)       # scheduler + cache counters for this shard
@@ -22,7 +29,7 @@ per worker.  Messages front → worker::
 older front sending 5-tuples keeps working) and worker → front::
 
     ("ready", shard)                      # startup handshake
-    (request_id, "ok", result_dict)       # includes a "trace" span payload
+    (request_id, "ok", answer_dict)       # includes a "trace" span payload
     (request_id, "error", error_dict)     # structured ServiceError fields
     (request_id, "stats", stats_dict)     # includes a "metrics" registry dump
     (request_id, "spilled", entry_count)
@@ -36,10 +43,10 @@ pipes.  ``worker_main`` also runs happily inside a *thread* (the coverage
 harness does this), so signal handling is installed only when the worker is
 a real process's main thread.
 
-Cache persistence is per shard: with ``cache_dir`` set, the worker loads
+Cache persistence is per shard: with ``cache_dir`` set, a shard loads
 ``shard-<i>.json`` on startup (a corrupt snapshot serves cold rather than
 crashing), spills every ``spill_interval`` seconds, and spills once more on
-graceful shutdown — a restarted worker answers yesterday's popular queries
+graceful shutdown — a restarted shard answers yesterday's popular queries
 from memory without re-solving.
 """
 
@@ -50,13 +57,14 @@ import queue
 import signal
 import threading
 import warnings
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..exceptions import CachePersistenceError
 from ..obs import TraceBuilder, TraceRecorder
-from ..solvers import SolutionCache
+from ..solvers import SolutionCache, SolverPolicy
 from .errors import ServiceError
 from .scheduler import (
     DEFAULT_BATCH_WINDOW,
@@ -75,7 +83,7 @@ DEFAULT_SPILL_INTERVAL = 30.0
 
 @dataclass(frozen=True)
 class ShardWorkerConfig:
-    """Everything one shard worker needs to run (picklable for spawn)."""
+    """Everything one shard needs to run (picklable, so a worker can be spawned)."""
 
     shard: int
     batch_window: float = DEFAULT_BATCH_WINDOW
@@ -94,6 +102,169 @@ def shard_cache_path(cache_dir: str | Path, shard: int) -> Path:
     return Path(cache_dir) / f"shard-{shard}.json"
 
 
+class Shard(ABC):
+    """One slice of the key space, as the HTTP front sees it.
+
+    ``state`` is ``"starting"``, ``"ready"``, ``"dead"`` (a crashed worker
+    awaiting its respawn) or ``"stopped"``; the front admits requests only to
+    a ready shard.  ``routed_total`` counts the requests the front routed
+    here and ``restarts`` the worker respawns.
+    """
+
+    def __init__(self, shard: int) -> None:
+        self.shard = shard
+        self.state = "starting"
+        self.restarts = 0
+        self.routed_total = 0
+
+    @property
+    @abstractmethod
+    def in_flight(self) -> int:
+        """Requests submitted to this shard and not yet answered."""
+
+    @abstractmethod
+    async def start(self) -> None:
+        """Become ready to solve (raises when the shard cannot start)."""
+
+    @abstractmethod
+    async def stop(self) -> None:
+        """Fail unstarted work, spill the cache when persisted, release resources."""
+
+    @abstractmethod
+    async def submit(
+        self,
+        model: object,
+        policy: SolverPolicy,
+        *,
+        deadline: float | None,
+        trace: TraceBuilder,
+    ) -> dict:
+        """Answer one query; its spans land on ``trace`` on the caller's clock.
+
+        The answer carries ``solver``, ``stable``, ``metrics``, ``error``,
+        ``cached`` and ``coalesced``; structured failures raise
+        :class:`~repro.service.errors.ServiceError`.
+        """
+
+    @abstractmethod
+    async def stats(self) -> dict | None:
+        """The scheduler section of ``/stats`` plus a ``metrics`` registry
+        dump, or ``None`` when the shard cannot answer right now."""
+
+    async def find_trace(self, trace_id: str) -> dict | None:
+        """A trace retained by the shard itself (beyond the front's copy)."""
+        return None
+
+    async def list_traces(self, *, slow: bool, limit: int) -> list[dict]:
+        """Traces retained by the shard itself, newest first."""
+        return []
+
+
+class LocalShard(Shard):
+    """A shard on the caller's event loop: scheduler, cache and snapshots.
+
+    Its spans are recorded straight onto the caller's trace, so the front's
+    trace ring already holds everything it knows — the trace lookups keep the
+    base class's empty answers.
+    """
+
+    def __init__(self, config: ShardWorkerConfig, *, cache: SolutionCache | None = None) -> None:
+        super().__init__(config.shard)
+        self.config = config
+        self.scheduler = BatchScheduler(
+            batch_window=config.batch_window,
+            max_queue=config.max_queue,
+            max_batch=config.max_batch,
+            cache=cache if cache is not None else SolutionCache(maxsize=config.cache_maxsize),
+            shard=config.shard,
+        )
+        self._snapshot = (
+            None if config.cache_dir is None else shard_cache_path(config.cache_dir, config.shard)
+        )
+        self._spill_task: asyncio.Task | None = None
+        self._in_flight = 0
+
+    @property
+    def in_flight(self) -> int:
+        return self._in_flight
+
+    async def start(self) -> None:
+        if self._snapshot is not None:
+            loop = asyncio.get_running_loop()
+            try:
+                await loop.run_in_executor(None, self.scheduler.cache.load, self._snapshot)
+            except CachePersistenceError as exc:
+                # A torn or stale snapshot must not keep the shard down; serving
+                # cold is strictly better than not serving.
+                warnings.warn(
+                    f"shard {self.shard} serves cold: {exc}", RuntimeWarning, stacklevel=1
+                )
+            if self.config.spill_interval > 0:
+                self._spill_task = loop.create_task(self._spill_periodically())
+        self.state = "ready"
+
+    async def stop(self) -> None:
+        if self._spill_task is not None:
+            self._spill_task.cancel()
+            await asyncio.gather(self._spill_task, return_exceptions=True)
+            self._spill_task = None
+        await self.scheduler.close()
+        if self.state == "ready":  # a shard that never started must not overwrite its snapshot
+            await self.spill()
+        self.state = "stopped"
+
+    async def spill(self) -> int:
+        """Snapshot the cache now; the number of entries written (0 if not persisted)."""
+        if self._snapshot is None:
+            return 0
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(None, self.scheduler.cache.spill, self._snapshot)
+
+    async def _spill_periodically(self) -> None:
+        while True:
+            await asyncio.sleep(self.config.spill_interval)
+            await self.spill()
+
+    async def submit(
+        self,
+        model: object,
+        policy: SolverPolicy,
+        *,
+        deadline: float | None,
+        trace: TraceBuilder,
+    ) -> dict:
+        self._in_flight += 1
+        try:
+            result = await self.scheduler.submit(model, policy, deadline=deadline, trace=trace)
+        finally:
+            self._in_flight -= 1
+        outcome = result.outcome
+        return {
+            "solver": outcome.solver,
+            "stable": outcome.stable,
+            "metrics": dict(outcome.metrics),
+            "error": outcome.error,
+            "cached": result.cached,
+            "coalesced": result.coalesced,
+        }
+
+    async def stats(self) -> dict:
+        stats = self.scheduler.stats()
+        stats["shard"] = self.shard
+        stats["metrics"] = self.scheduler.metrics_snapshot()
+        return stats
+
+
+def _error_fields(error: ServiceError) -> dict:
+    """A structured error's stable fields, as they cross the pipe."""
+    return {
+        "code": error.code,
+        "message": str(error),
+        "http_status": error.http_status,
+        "retry_after": error.retry_after,
+    }
+
+
 def worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
     """Run one shard worker until told to shut down (process entry point)."""
     asyncio.run(_worker_async(config, conn))
@@ -101,26 +272,8 @@ def worker_main(config: ShardWorkerConfig, conn: "Connection") -> None:
 
 async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
     loop = asyncio.get_running_loop()
-    cache = SolutionCache(maxsize=config.cache_maxsize)
-    snapshot: Path | None = None
-    if config.cache_dir is not None:
-        snapshot = shard_cache_path(config.cache_dir, config.shard)
-        try:
-            cache.load(snapshot)
-        except CachePersistenceError as exc:
-            # A torn or stale snapshot must not keep the shard down; serving
-            # cold is strictly better than not serving.
-            warnings.warn(
-                f"shard {config.shard} serves cold: {exc}", RuntimeWarning, stacklevel=1
-            )
-    scheduler = BatchScheduler(
-        batch_window=config.batch_window,
-        max_queue=config.max_queue,
-        max_batch=config.max_batch,
-        workers=1,
-        cache=cache,
-        shard=config.shard,
-    )
+    shard = LocalShard(config)
+    await shard.start()
     # The worker keeps its own trace rings so the front can fan ``/traces``
     # lookups out over the control pipe.  No logger: the front records the
     # full merged trace and owns slow-request log emission.
@@ -186,7 +339,7 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
     async def _answer(
         request_id: int,
         model: object,
-        policy: object,
+        policy: SolverPolicy,
         deadline: float | None,
         trace_id: str | None,
     ) -> None:
@@ -194,72 +347,21 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
         # front re-bases the offsets by the pipe-send instant on its side.
         trace = TraceBuilder(trace_id=trace_id)
         try:
-            result = await scheduler.submit(
-                model, policy, deadline=deadline, trace=trace  # type: ignore[arg-type]
-            )
+            answer = await shard.submit(model, policy, deadline=deadline, trace=trace)
         except asyncio.CancelledError:
             raise
         except ServiceError as error:
             recorder.record(trace.finish(error.code))
-            outbox.put(
-                (
-                    request_id,
-                    "error",
-                    {
-                        "code": error.code,
-                        "message": str(error),
-                        "http_status": error.http_status,
-                        "retry_after": error.retry_after,
-                    },
-                )
-            )
+            outbox.put((request_id, "error", _error_fields(error)))
             return
         except Exception as error:  # noqa: BLE001 - reported, never a hung waiter
             recorder.record(trace.finish("internal-error"))
-            outbox.put(
-                (
-                    request_id,
-                    "error",
-                    {
-                        "code": "internal-error",
-                        "message": f"{type(error).__name__}: {error}",
-                        "http_status": 500,
-                        "retry_after": None,
-                    },
-                )
-            )
+            internal = ServiceError(f"{type(error).__name__}: {error}")
+            outbox.put((request_id, "error", _error_fields(internal)))
             return
-        outcome = result.outcome
         recorder.record(trace.finish("ok"))
-        outbox.put(
-            (
-                request_id,
-                "ok",
-                {
-                    "solver": outcome.solver,
-                    "stable": outcome.stable,
-                    "metrics": dict(outcome.metrics),
-                    "error": outcome.error,
-                    "cached": result.cached,
-                    "coalesced": result.coalesced,
-                    "trace": {"spans": [span.to_dict() for span in trace.spans]},
-                },
-            )
-        )
-
-    def _spill_now() -> int:
-        if snapshot is None:
-            return 0
-        return cache.spill(snapshot)
-
-    async def _periodic_spill() -> None:
-        while True:
-            await asyncio.sleep(config.spill_interval)
-            await loop.run_in_executor(None, _spill_now)
-
-    spill_task: asyncio.Task | None = None
-    if snapshot is not None and config.spill_interval > 0:
-        spill_task = loop.create_task(_periodic_spill())
+        answer["trace"] = {"spans": [span.to_dict() for span in trace.spans]}
+        outbox.put((request_id, "ok", answer))
 
     outbox.put(("ready", config.shard))
     try:
@@ -277,13 +379,9 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
                 answer_tasks.add(task)
                 task.add_done_callback(answer_tasks.discard)
             elif kind == "stats":
-                stats = dict(scheduler.stats())
-                stats["shard"] = config.shard
-                stats["metrics"] = scheduler.metrics_snapshot()
-                outbox.put((message[1], "stats", stats))
+                outbox.put((message[1], "stats", await shard.stats()))
             elif kind == "spill":
-                count = await loop.run_in_executor(None, _spill_now)
-                outbox.put((message[1], "spilled", count))
+                outbox.put((message[1], "spilled", await shard.spill()))
             elif kind == "trace" and len(message) > 2:
                 found = recorder.find(str(message[2]))
                 outbox.put(
@@ -311,11 +409,8 @@ async def _worker_async(config: ShardWorkerConfig, conn: "Connection") -> None:
     finally:
         if sigterm_installed:
             loop.remove_signal_handler(signal.SIGTERM)
-        if spill_task is not None:
-            spill_task.cancel()
         if answer_tasks:
             await asyncio.gather(*tuple(answer_tasks), return_exceptions=True)
-        await scheduler.close()
-        await loop.run_in_executor(None, _spill_now)
+        await shard.stop()
         outbox.put(None)
         await loop.run_in_executor(None, writer.join)

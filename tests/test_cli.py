@@ -502,6 +502,17 @@ class TestServeCommand:
         assert exit_code == 2
         assert "max_queue" in captured.err
 
+    def test_serve_on_a_busy_port_reports_an_error_not_a_traceback(self, capsys):
+        import socket
+
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            exit_code = main(["serve", "--port", str(busy.getsockname()[1])])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "address already in use" in captured.err
+
 
 class TestCacheStatsCommand:
     def test_in_process_cache_stats(self, capsys):
@@ -538,7 +549,7 @@ class TestCacheStatsCommand:
             exit_code = main(["cache-stats", "--url", service.address, "--json"])
             payload = json.loads(capsys.readouterr().out)
             assert exit_code == 0
-            assert payload["scheduler"]["cache"]["solves"] == 1
+            assert payload["shards"][0]["scheduler"]["cache"]["solves"] == 1
 
     def test_unreachable_service_reports_an_error(self, capsys):
         exit_code = main(["cache-stats", "--url", "http://127.0.0.1:9"])

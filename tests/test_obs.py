@@ -500,7 +500,7 @@ class TestServiceMetricsEndpoint:
                 stats = client.stats()
                 status, text = client.metrics()
         assert status == 200
-        requests_total = stats.payload["scheduler"]["requests_total"]
+        requests_total = stats.payload["shards"][0]["scheduler"]["requests_total"]
         counts = _metric_values(text, "repro_solve_latency_seconds_count")
         assert sum(counts.values()) == requests_total
         totals = _metric_values(text, "repro_requests_total")
@@ -889,13 +889,13 @@ class TestLatencyAwareOverloadControl:
                 assert error["shed_tier"] == "steady-state"
 
                 stats = client.stats().payload
-                scheduler_stats = stats["scheduler"]
+                scheduler_stats = stats["shards"][0]["scheduler"]
                 # The depth thresholds were nowhere near: the queue is all but
                 # empty while measured latency does the shedding.
                 assert scheduler_stats["queue_depth"] <= 1
                 assert scheduler_stats["queue_depth"] < 0.7 * config.max_queue
-                assert scheduler_stats["shed_total"] >= 1
-                assert scheduler_stats["shed_by_tier"].get("steady-state", 0) >= 1
+                assert stats["shedding"]["shed_total"] >= 1
+                assert stats["shedding"]["by_tier"].get("steady-state", 0) >= 1
                 assert stats["slo"]["pressure"] >= 1.0
 
                 status, text = client.metrics()

@@ -205,8 +205,6 @@ class TestBatchScheduler:
             BatchScheduler(max_queue=0)
         with pytest.raises(ValueError, match="max_batch"):
             BatchScheduler(max_batch=0)
-        with pytest.raises(ValueError, match="workers"):
-            BatchScheduler(workers=0)
 
     def test_solves_and_caches(self):
         scheduler = self._scheduler()

@@ -6,6 +6,12 @@ would.  The headline acceptance criteria live here: all three query kinds
 answered concurrently, 100 concurrent identical requests producing exactly
 one underlying solve (pinned by the ``/stats`` coalesced counter), and the
 queue-full/deadline paths returning structured errors.
+
+The shared ``service``/``client`` fixtures serve from one in-process shard;
+the ``...OverWorkerProcesses`` subclasses re-run every test of their suite
+against two worker-process shards — one HTTP surface, both shard kinds.
+Their service is class-scoped because spawning the workers is the slow part,
+so those suites assert counter deltas, never absolute counts.
 """
 
 from __future__ import annotations
@@ -24,9 +30,19 @@ from repro.service import (
 )
 
 
+def _running_service(workers: int) -> ThreadedService:
+    return ThreadedService(ServiceConfig(port=0, batch_window=0.005, workers=workers))
+
+
 @pytest.fixture
 def service():
-    with ThreadedService(ServiceConfig(port=0, batch_window=0.005)) as running:
+    with _running_service(workers=1) as running:
+        yield running
+
+
+@pytest.fixture(scope="class")
+def two_worker_service():
+    with _running_service(workers=2) as running:
         yield running
 
 
@@ -78,9 +94,9 @@ class TestEndpoints:
         assert "queue_depth" in response.payload
 
     def test_stats_exposes_scheduler_and_cache_counters(self, client):
-        client.solve_ok({"model": {"servers": 4, "arrival_rate": 2.0}})
+        answer = client.solve_ok({"model": {"servers": 4, "arrival_rate": 2.0}})
         payload = client.stats().payload
-        scheduler = payload["scheduler"]
+        scheduler = payload["shards"][answer["shard"]]["scheduler"]
         assert scheduler["requests_total"] >= 1
         assert scheduler["batches_total"] >= 1
         cache = scheduler["cache"]
@@ -113,6 +129,12 @@ class TestEndpoints:
         ]
 
 
+class TestEndpointsOverWorkerProcesses(TestEndpoints):
+    @pytest.fixture
+    def service(self, two_worker_service):
+        return two_worker_service
+
+
 class TestSingleFlight:
     def test_100_identical_requests_produce_exactly_one_solve(self):
         # A generous batch window guarantees every request lands while the
@@ -134,7 +156,7 @@ class TestSingleFlight:
             assert len(metrics) == 1  # everyone got the same answer
 
             with ServiceClient(service.host, service.port) as sync_client:
-                scheduler = sync_client.stats().payload["scheduler"]
+                scheduler = sync_client.stats().payload["shards"][0]["scheduler"]
             # The acceptance pin: one scheduled computation, one real solve,
             # and the coalesced counter accounts for every other request.
             assert scheduler["scheduled_total"] == 1
@@ -244,13 +266,24 @@ class TestStructuredErrors:
             assert sync_client.healthz().status == 200
 
     def test_errors_are_counted_by_code(self, client):
+        before = client.stats().payload
         client.solve({"model": {"servers": 2, "arrival_rate": 50.0}})
         client.raw("POST", "/solve", b"{not json")
         payload = client.stats().payload
-        assert payload["errors_by_code"]["unstable-model"] == 1
-        assert payload["errors_by_code"]["bad-json"] == 1
-        assert payload["errors_total"] >= 2
+
+        def counted(code):
+            return payload["errors_by_code"][code] - before["errors_by_code"].get(code, 0)
+
+        assert counted("unstable-model") == 1
+        assert counted("bad-json") == 1
+        assert payload["errors_total"] - before["errors_total"] >= 2
 
     def test_solve_ok_raises_a_typed_error(self, client):
         with pytest.raises(ServiceCallError, match=r"\[unstable-model\]"):
             client.solve_ok({"model": {"servers": 2, "arrival_rate": 50.0}})
+
+
+class TestStructuredErrorsOverWorkerProcesses(TestStructuredErrors):
+    @pytest.fixture
+    def service(self, two_worker_service):
+        return two_worker_service

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -27,14 +28,14 @@ from repro.service import (
     AsyncServiceClient,
     ConsistentHashRing,
     LoadShedError,
+    LocalShard,
+    ProcessShard,
     ServiceClient,
     ServiceConfig,
     ShardWorkerConfig,
-    ShardedService,
     SolverService,
     ThreadedService,
     WorkerCrashedError,
-    build_service,
     shard_cache_path,
     shed_decision,
     stable_key_digest,
@@ -134,14 +135,15 @@ class TestShedDecision:
         assert crash.payload()["shard"] == 1
 
 
-class TestBuildService:
-    def test_single_worker_builds_the_plain_service(self):
-        service = build_service(ServiceConfig(port=0, workers=1))
-        assert type(service) is SolverService
+class TestShardKinds:
+    def test_single_worker_serves_from_one_local_shard(self):
+        service = SolverService(ServiceConfig(port=0, workers=1))
+        assert [type(shard) for shard in service.shards] == [LocalShard]
 
-    def test_multiple_workers_build_the_sharded_service(self):
-        service = build_service(ServiceConfig(port=0, workers=3))
-        assert isinstance(service, ShardedService)
+    def test_multiple_workers_serve_from_process_shards(self):
+        service = SolverService(ServiceConfig(port=0, workers=3))
+        assert [type(shard) for shard in service.shards] == [ProcessShard] * 3
+        assert [shard.shard for shard in service.shards] == [0, 1, 2]
 
 
 class TestWorkerProtocol:
@@ -325,9 +327,9 @@ class TestCrashRecovery:
             with ServiceClient(running.host, running.port, timeout=120.0) as client:
                 first = client.solve_ok(request)
                 shard = first["shard"]
-                handle = running.service._handles[shard]
-                handle.process.kill()
-                handle.process.join()
+                process = running.service.shards[shard].process
+                process.kill()
+                process.join()
 
                 saw_crash_error = False
                 recovered = None
@@ -379,9 +381,9 @@ class TestCrashRecovery:
                 scrapers = [threading.Thread(target=scrape) for _ in range(3)]
                 for thread in scrapers:
                     thread.start()
-                handle = running.service._handles[shard]
-                handle.process.kill()
-                handle.process.join()
+                process = running.service.shards[shard].process
+                process.kill()
+                process.join()
                 recovered = False
                 deadline = time.monotonic() + 60.0
                 while time.monotonic() < deadline:
@@ -417,24 +419,82 @@ class TestCrashRecovery:
         schedule a respawn, so a shard never ends up with two processes."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2))
-            service._loop = asyncio.get_running_loop()
+            shard = ProcessShard(ShardWorkerConfig(shard=0))
+            shard._loop = asyncio.get_running_loop()
+            shard._live = True
             respawned: list[int] = []
 
-            async def fake_respawn(handle):
-                respawned.append(handle.shard)
+            async def fake_respawn():
+                respawned.append(shard.shard)
 
-            service._respawn = fake_respawn
-            handle = service._handles[0]
-            handle.state = "ready"
-            generation = handle.generation
-            service._on_worker_down(handle, generation)  # health sweep wins
-            service._on_worker_down(handle, generation)  # stale EOF report
+            shard._respawn = fake_respawn
+            shard.state = "ready"
+            generation = shard.generation
+            shard._on_down(generation)  # health sweep wins
+            shard._on_down(generation)  # stale EOF report
             await asyncio.sleep(0)
             assert respawned == [0]
-            assert handle.restarts == 1
+            assert shard.restarts == 1
 
         asyncio.run(run())
+
+    def test_no_respawn_is_scheduled_unless_the_shard_is_live(self):
+        """A worker lost during startup fails start() instead of respawning,
+        and one lost while stopping is left down: no respawn task may be
+        scheduled onto a loop whose executor is shutting down."""
+
+        async def run():
+            shard = ProcessShard(ShardWorkerConfig(shard=0))
+            shard._loop = asyncio.get_running_loop()
+            shard._ready = shard._loop.create_future()
+            shard._on_down(shard.generation)  # startup: not live yet
+            assert not shard._respawn_tasks
+            assert shard.restarts == 0
+            with pytest.raises(RuntimeError, match="exited during startup"):
+                await shard._ready
+            await shard.stop()  # nothing was spawned; must not raise
+            shard._on_down(shard.generation)  # after stop
+            assert not shard._respawn_tasks
+
+        asyncio.run(run())
+
+
+class TestStartFailureCleanup:
+    """A failed ``start()`` must leave no shard worker process behind."""
+
+    @staticmethod
+    def _new_shard_workers(before: set) -> list[str]:
+        return [
+            child.name
+            for child in set(multiprocessing.active_children()) - before
+            if child.name.startswith("repro-shard-")
+        ]
+
+    def test_a_busy_port_leaves_no_shard_worker_running(self):
+        before = set(multiprocessing.active_children())
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            service = ThreadedService(ServiceConfig(port=busy.getsockname()[1], workers=2))
+            with pytest.raises(RuntimeError) as failed:
+                service.start()
+        assert isinstance(failed.value.__cause__, OSError)
+        assert self._new_shard_workers(before) == []
+
+    def test_a_shard_that_fails_to_start_stops_the_started_ones(self, monkeypatch):
+        before = set(multiprocessing.active_children())
+        start = ProcessShard.start
+
+        async def start_all_but_shard_1(shard):
+            if shard.shard == 1:
+                raise RuntimeError("shard 1 refused to start")
+            await start(shard)
+
+        monkeypatch.setattr(ProcessShard, "start", start_all_but_shard_1)
+        with pytest.raises(RuntimeError) as failed:
+            ThreadedService(ServiceConfig(port=0, workers=2)).start()
+        assert "shard 1 refused to start" in str(failed.value.__cause__)
+        assert self._new_shard_workers(before) == []
 
 
 class TestControlPlaneAdmission:
@@ -443,13 +503,13 @@ class TestControlPlaneAdmission:
         or inflate the reported queue depth."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2, max_queue=4))
+            service = SolverService(ServiceConfig(port=0, workers=2, max_queue=4))
             loop = asyncio.get_running_loop()
-            handle = service._handles[0]
-            handle.state = "ready"
+            shard = service.shards[0]
+            shard.state = "ready"
             for request_id in range(100):
-                handle.control_pending[request_id] = loop.create_future()
-            service._admit("steady-state", 0, handle)  # must not raise
+                shard.control_pending[request_id] = loop.create_future()
+            service._admit("steady-state", shard)  # must not raise
             payload = await service._healthz_payload()
             assert payload["queue_depth"] == 0
 
@@ -460,17 +520,17 @@ class TestControlPlaneAdmission:
         alone sheds the cheap tier while zero requests are pending."""
 
         async def run():
-            service = ShardedService(ServiceConfig(port=0, workers=2, max_queue=8))
-            handle = service._handles[0]
-            handle.state = "ready"
-            service._admit("steady-state", 0, handle)  # healthy tracker: admitted
+            service = SolverService(ServiceConfig(port=0, workers=2, max_queue=8))
+            shard = service.shards[0]
+            shard.state = "ready"
+            service._admit("steady-state", shard)  # healthy tracker: admitted
             for _ in range(20):
                 service.slo.observe_queue_wait(50.0)  # way over the 2 s target
             assert service.slo.pressure() >= 1.0
             with pytest.raises(LoadShedError) as shed:
-                service._admit("steady-state", 0, handle)
+                service._admit("steady-state", shard)
             assert shed.value.payload()["shed_tier"] == "steady-state"
-            assert sum(len(h.pending) for h in service._handles) == 0
+            assert sum(each.in_flight for each in service.shards) == 0
 
         asyncio.run(run())
 
