@@ -83,10 +83,21 @@ def run_benchmarks(
     return records
 
 
+def run_environment() -> dict[str, object]:
+    """What every record carries because timings depend on it: the usable CPU
+    count and this process's BLAS thread setting (for a self-hosted service,
+    its front's; a service under ``--url`` reports its own on ``/healthz``)."""
+    from repro._blas import blas_record
+    from repro.solvers.facade import default_max_workers
+
+    return {"nproc": default_max_workers(), "blas": blas_record()}
+
+
 def write_results(path: Path, records: dict[str, dict[str, object]], *, quick: bool) -> None:
     """Write one timing JSON (the artifact CI uploads, and the baseline format)."""
     payload = {
         "mode": "quick" if quick else "full",
+        **run_environment(),
         "benchmarks": records,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")

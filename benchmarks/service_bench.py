@@ -56,7 +56,13 @@ from collections.abc import Callable
 from pathlib import Path
 from urllib.parse import urlparse
 
-from _harness import BASELINE_PADDING, bench_main, child_peak_rss_mb, peak_rss_mb
+from _harness import (
+    BASELINE_PADDING,
+    bench_main,
+    child_peak_rss_mb,
+    peak_rss_mb,
+    run_environment,
+)
 
 #: Closed-loop concurrency levels tracked by CI.
 CONCURRENCY_LEVELS = (1, 8, 32)
@@ -368,6 +374,7 @@ def sustained_main(argv: list[str]) -> int:
         # (the hungriest one); peak_rss_mb is this driver/front process.
         "peak_rss_mb": round(peak_rss_mb(), 1),
         "child_peak_rss_mb": round(child_peak_rss_mb(), 1),
+        **run_environment(),
     }
     print(
         f"    scheduled {record['scheduled']}, completed {record['completed']}, "

@@ -95,3 +95,17 @@ class TestBaselineCheck:
         records = {"a": {"seconds": 1.0}, "new": {"seconds": 9.0, "num_states": 3}}
         assert check_against_baseline(records, baseline, factor=2.0, quick=True) == 0
         assert "no baseline entry" in capsys.readouterr().out
+
+    def test_results_carry_the_cpu_count_and_blas_setting(self, tmp_path):
+        import json
+
+        from _harness import write_results
+
+        from repro._blas import blas_record
+
+        path = tmp_path / "BENCH_x.json"
+        write_results(path, {"a": {"seconds": 1.0}}, quick=True)
+        payload = json.loads(path.read_text())
+        assert payload["nproc"] >= 1
+        assert payload["blas"] == blas_record()
+        assert payload["benchmarks"] == {"a": {"seconds": 1.0}}

@@ -66,6 +66,7 @@ Subpackages
     One driver per table/figure of the paper (built on :mod:`repro.sweeps`).
 """
 
+from ._blas import apply_thread_policy
 from .distributions import (
     SUN_INOPERATIVE_FIT,
     SUN_OPERATIVE_FIT,
@@ -114,6 +115,9 @@ from .transient import (
     simulate_transient,
     solve_transient,
 )
+
+# One OpenBLAS thread per process, before anything solves (see ``_blas``).
+apply_thread_policy()
 
 __version__ = "1.0.0"
 

@@ -145,11 +145,13 @@ endpoints:
                  unknown-preset, unstable-model, queue-full (429 +
                  Retry-After), load-shed (429), worker-crashed (503,
                  retryable), deadline-exceeded (504), solve-failed.
-  GET /healthz   liveness, workers / workers_ready, and the in-flight
-                 request count (queue_depth) against max_queue
+  GET /healthz   liveness, workers / workers_ready, the in-flight request
+                 count (queue_depth) against max_queue, and the front's
+                 BLAS thread setting ("blas")
   GET /stats     one schema for every --workers: uptime, HTTP counters,
-                 "shedding", "shards" (per shard: state, routing counters
-                 and its "scheduler" section with the solution-cache
+                 "shedding", "shards" (per shard: state, routing counters,
+                 its process's "blas" setting and its "scheduler" section
+                 with the solution-cache
                  statistics), pool "totals" and the "slo" snapshot
   GET /metrics   Prometheus text exposition (version 0.0.4): per-shard
                  solve/queue-wait/cache-lookup latency histograms, the

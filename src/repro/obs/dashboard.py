@@ -14,8 +14,9 @@ without a terminal or a server:
     A snapshot pairs one scrape of ``/metrics`` with one ``/stats`` payload
     and a caller-supplied monotonic stamp; ``summarize`` reduces one or two
     snapshots (rates need a predecessor) to a JSON-safe summary — per-shard
-    RPS, p50/p99, queue depth, cache hit rate, shed tiers, SLO budget — and
-    ``render_dashboard`` turns that summary into fixed-width lines.
+    RPS, p50/p99, queue depth, cache hit rate, shed tiers, SLO budget, each
+    worker's BLAS thread setting — and ``render_dashboard`` turns that
+    summary into fixed-width lines.
 
 :func:`run_dashboard`
     The live loop: stdlib ``curses`` (imported lazily so headless use never
@@ -222,11 +223,14 @@ def summarize(
         return round(max(0.0, delta) / elapsed, 3)
 
     shard_states: dict[str, str] = {}
+    blas: dict[str, str] = {}
     shards_stats = current.stats.get("shards")
     if isinstance(shards_stats, list):
         for entry in shards_stats:
             if isinstance(entry, dict):
                 shard_states[str(entry.get("shard"))] = str(entry.get("state", "?"))
+                if isinstance(entry.get("blas"), dict):
+                    blas[str(entry.get("shard"))] = _blas_setting(entry["blas"])
 
     shards: list[dict[str, object]] = []
     for shard in _label_values(metrics, "repro_requests_total", "shard"):
@@ -289,8 +293,21 @@ def summarize(
         },
         "traces_recorded_total": metric_value(metrics, "repro_traces_recorded_total"),
         "traces_slow_total": metric_value(metrics, "repro_traces_slow_total"),
+        "blas": blas,
         "shards": shards,
     }
+
+
+def _blas_setting(record: Mapping[str, object]) -> str:
+    """One process's BLAS record as ``numpy 1 (policy), scipy 1 (policy)``."""
+    parts = []
+    for package, entry in sorted(record.items()):
+        if isinstance(entry, Mapping):
+            threads = entry.get("threads")
+            parts.append(
+                f"{package} {'-' if threads is None else threads} ({entry.get('source', '?')})"
+            )
+    return ", ".join(parts) or "none"
 
 
 def _fmt_rate(value: object) -> str:
@@ -308,6 +325,12 @@ def render_dashboard(
     assert isinstance(shed_by_tier, dict)
     budget = slo["error_budget"]
     assert isinstance(budget, dict)
+    blas = summary["blas"]
+    assert isinstance(blas, dict)
+    # Shards sharing one setting share one entry: "<setting> on shard(s) 0,1".
+    by_setting: dict[str, list[str]] = {}
+    for shard, setting in blas.items():
+        by_setting.setdefault(setting, []).append(shard)
     lines = [
         (
             "repro top — "
@@ -344,6 +367,14 @@ def render_dashboard(
             )
             + f" · traces {summary['traces_recorded_total']:.0f} recorded, "
             f"{summary['traces_slow_total']:.0f} slow"
+        ),
+        "blas     — "
+        + (
+            " · ".join(
+                f"{setting} on shard(s) {','.join(shards)}"
+                for setting, shards in sorted(by_setting.items())
+            )
+            or "unknown"
         ),
         "",
         f"{'shard':>5}  {'state':<8}  {'requests':>9}  {'rps':>8}  "

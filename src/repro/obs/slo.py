@@ -63,10 +63,21 @@ class _RollingHistogram:
     difference between the current counts and the oldest snapshot within the
     window — i.e. a histogram of (approximately) the last
     ``window_seconds`` of observations.  Snapshot rotation happens lazily on
-    access, so an idle tracker costs nothing.
+    access, so an idle tracker costs nothing.  :meth:`p99` is cached until
+    an observation arrives or the window rotates, so admission reads it for
+    free between those events.
     """
 
-    __slots__ = ("_histogram", "_lock", "_snapshots", "_tick_seconds", "_last_tick", "_depth")
+    __slots__ = (
+        "_histogram",
+        "_lock",
+        "_snapshots",
+        "_tick_seconds",
+        "_last_tick",
+        "_depth",
+        "_rotations",
+        "_p99",
+    )
 
     def __init__(self, *, window_seconds: float, tick_seconds: float) -> None:
         self._histogram = Histogram(DEFAULT_LATENCY_BUCKETS)
@@ -75,14 +86,20 @@ class _RollingHistogram:
         self._depth = max(1, round(float(window_seconds) / self._tick_seconds))
         self._snapshots: deque[Histogram] = deque(maxlen=self._depth + 1)
         self._last_tick = time.monotonic()
+        self._rotations = 0
+        # ((observation count, rotations) it was computed at, the p99).
+        self._p99: tuple[tuple[int, int], float] | None = None
 
     def observe(self, seconds: float) -> None:
         self._histogram.observe(seconds)
 
     def _maybe_rotate(self, now: float) -> None:
+        if now - self._last_tick < self._tick_seconds:
+            return
         with self._lock:
             while now - self._last_tick >= self._tick_seconds:
                 self._snapshots.append(self._histogram.snapshot())
+                self._rotations += 1
                 self._last_tick += self._tick_seconds
                 if now - self._last_tick > self._depth * self._tick_seconds:
                     # Idle gap longer than the window: fast-forward instead of
@@ -105,6 +122,19 @@ class _RollingHistogram:
         delta.total = max(0.0, current.total - base.total)
         delta.count = max(0, current.count - base.count)
         return delta
+
+    def p99(self) -> float:
+        """The windowed p99, recomputed only when its inputs changed."""
+        self._maybe_rotate(time.monotonic())
+        # Read before computing: an observation landing meanwhile leaves the
+        # cache stale, so the next call recomputes — never the reverse.
+        stamp = (self._histogram.count, self._rotations)
+        cached = self._p99
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        value = self.rolling().percentile(0.99)
+        self._p99 = (stamp, value)
+        return value
 
     @property
     def cumulative(self) -> Histogram:
@@ -174,10 +204,10 @@ class SloTracker:
     # -- reading -----------------------------------------------------------
 
     def queue_wait_p99(self) -> float:
-        return self._queue_wait.rolling().percentile(0.99)
+        return self._queue_wait.p99()
 
     def solve_latency_p99(self) -> float:
-        return self._solve_latency.rolling().percentile(0.99)
+        return self._solve_latency.p99()
 
     def pressure(self) -> float:
         """``max(rolling p99 / target)`` over the enabled objectives.

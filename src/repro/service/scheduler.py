@@ -191,8 +191,13 @@ class BatchScheduler:
         *,
         deadline: float | None = None,
         trace: TraceBuilder | None = None,
+        key: CacheKey | None = None,
     ) -> ScheduledResult:
-        """Answer one query, coalescing/batching it with concurrent work."""
+        """Answer one query, coalescing/batching it with concurrent work.
+
+        ``key`` is the query's cache key when the caller already computed it
+        (the HTTP front does, to route); otherwise it is computed here.
+        """
         if self._closed:
             raise ServiceClosedError("the scheduler is closed")
         self._requests_total += 1
@@ -201,18 +206,20 @@ class BatchScheduler:
         # histogram's count equals ``requests_total`` exactly: cache hits,
         # rejections, deadline expiries and successes all observe once.
         try:
-            return await self._submit_admitted(model, policy, deadline, trace)
+            if key is None:
+                key = self.cache.key(model, policy)
+            return await self._submit_admitted(key, model, policy, deadline, trace)
         finally:
             self._solve_latency.observe(time.perf_counter() - started)
 
     async def _submit_admitted(
         self,
+        key: CacheKey,
         model: object,
         policy: SolverPolicy,
         deadline: float | None,
         trace: TraceBuilder | None,
     ) -> ScheduledResult:
-        key = self.cache.key(model, policy)
         # probe(), not lookup(): a miss here is re-counted by solve_many when
         # the batch executes, so only the hit side registers in cache stats.
         probe_started = time.perf_counter()

@@ -10,11 +10,13 @@ these endpoints:
 ``GET /healthz``
     Liveness: status, version, uptime, ``workers``/``workers_ready`` and the
     in-flight request count against its capacity, so load balancers can shed
-    before the admission controller has to.
+    before the admission controller has to, and the front process's BLAS
+    thread setting (``blas``).
 ``GET /stats``
     The full observability payload: uptime, HTTP counters, shedding, one
-    entry per shard (state, routing counters and its scheduler section with
-    the solution-cache statistics), pool totals and the SLO snapshot.
+    entry per shard (state, routing counters, the BLAS setting of the process
+    that solves and its scheduler section with the solution-cache
+    statistics), pool totals and the SLO snapshot.
 ``GET /metrics``
     The same telemetry in Prometheus text exposition format (0.0.4):
     per-shard latency histograms recorded by the schedulers plus counter and
@@ -63,6 +65,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .. import package_version
+from .._blas import blas_record
 from ..obs import (
     MetricsRegistry,
     TraceBuilder,
@@ -553,7 +556,7 @@ class SolverService:
             )
             shard.routed_total += 1
             answer = await shard.submit(
-                request.model, request.policy, deadline=request.deadline, trace=trace
+                request.model, request.policy, deadline=request.deadline, trace=trace, key=key
             )
             self._observe_slo(time.perf_counter() - started, trace)
             if answer["solver"] is None:
@@ -697,6 +700,8 @@ class SolverService:
             "workers_ready": sum(1 for shard in self.shards if shard.state == "ready"),
             "queue_depth": sum(shard.in_flight for shard in self.shards),
             "max_queue": len(self.shards) * self.config.max_queue,
+            # The front's own; each worker reports its setting in /stats.
+            "blas": blas_record(),
         }
 
     async def _stats_payload(self) -> dict:
@@ -716,6 +721,7 @@ class SolverService:
             if stats is not None:
                 # The registry dump rides along but belongs to /metrics.
                 stats.pop("metrics", None)
+                entry["blas"] = stats.pop("blas", None)
                 entry["scheduler"] = stats
                 for counter in _SCHEDULER_COUNTERS:
                     totals[counter] += int(stats.get(counter, 0))

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from ..obs import Span, TraceBuilder
 from ..solvers import SolverPolicy
+from ..solvers.cache import CacheKey
 from .errors import ServiceClosedError, ServiceError, WorkerCrashedError
 from .worker import Shard, ShardWorkerConfig, worker_main
 
@@ -383,7 +384,10 @@ class ProcessShard(Shard):
         *,
         deadline: float | None,
         trace: TraceBuilder,
+        key: CacheKey | None = None,
     ) -> dict:
+        # The key is not sent: pickling it costs what the worker's own
+        # computation of it does.
         if self._send_queue is None:  # pragma: no cover - defensive
             raise ServiceClosedError("the shard worker is not running")
         request_id = next(self._request_ids)

@@ -62,9 +62,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .._blas import blas_record
 from ..exceptions import CachePersistenceError
 from ..obs import TraceBuilder, TraceRecorder
 from ..solvers import SolutionCache, SolverPolicy
+from ..solvers.cache import CacheKey
 from .errors import ServiceError
 from .scheduler import (
     DEFAULT_BATCH_WINDOW,
@@ -138,8 +140,11 @@ class Shard(ABC):
         *,
         deadline: float | None,
         trace: TraceBuilder,
+        key: CacheKey | None = None,
     ) -> dict:
         """Answer one query; its spans land on ``trace`` on the caller's clock.
+
+        ``key`` is the query's cache key when the caller already has it.
 
         The answer carries ``solver``, ``stable``, ``metrics``, ``error``,
         ``cached`` and ``coalesced``; structured failures raise
@@ -232,10 +237,13 @@ class LocalShard(Shard):
         *,
         deadline: float | None,
         trace: TraceBuilder,
+        key: CacheKey | None = None,
     ) -> dict:
         self._in_flight += 1
         try:
-            result = await self.scheduler.submit(model, policy, deadline=deadline, trace=trace)
+            result = await self.scheduler.submit(
+                model, policy, deadline=deadline, trace=trace, key=key
+            )
         finally:
             self._in_flight -= 1
         outcome = result.outcome
@@ -251,6 +259,7 @@ class LocalShard(Shard):
     async def stats(self) -> dict:
         stats = self.scheduler.stats()
         stats["shard"] = self.shard
+        stats["blas"] = blas_record()  # read in the process that solves
         stats["metrics"] = self.scheduler.metrics_snapshot()
         return stats
 

@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro._blas import blas_record
 from repro.service import (
     AsyncServiceClient,
     ServiceCallError,
@@ -92,6 +93,18 @@ class TestEndpoints:
         assert response.payload["status"] == "ok"
         assert response.payload["uptime_seconds"] >= 0
         assert "queue_depth" in response.payload
+
+    def test_healthz_and_stats_report_each_process_blas_setting(self, client):
+        """The front reports its own BLAS setting on /healthz; each shard's
+        comes from the process that solves, through /stats."""
+        expected = blas_record()
+        assert set(expected) == {"numpy", "scipy"}
+        for entry in expected.values():
+            if entry["source"] == "policy":
+                assert entry["threads"] == 1
+        assert client.healthz().payload["blas"] == expected
+        shards = client.stats().payload["shards"]
+        assert [shard["blas"] for shard in shards] == [expected] * len(shards)
 
     def test_stats_exposes_scheduler_and_cache_counters(self, client):
         answer = client.solve_ok({"model": {"servers": 4, "arrival_rate": 2.0}})
